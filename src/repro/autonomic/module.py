@@ -154,7 +154,7 @@ class AutonomicModule:
     def _do_migrate(self, action: Action) -> bool:
         instance = action.target
         from_node = action.params.get("from_node")
-        hosted_here = instance in self.node.instance_names()
+        hosted_here = self.node.hosts(instance)
         if hosted_here:
             target = action.params.get("to_node") or self._pick_target()
             if target is None:
@@ -175,7 +175,7 @@ class AutonomicModule:
     def _do_stop(self, action: Action) -> bool:
         instance = action.target
         self._mark_inactive(instance)
-        if instance in self.node.instance_names():
+        if self.node.hosts(instance):
             self.node.undeploy_instance(instance)
             return True
         host = self.migration.inventory.locate(instance)
@@ -218,12 +218,12 @@ class AutonomicModule:
     def _cmd_migrate(self, args: Dict) -> None:
         instance = args.get("instance")
         target = args.get("to_node")
-        if instance in self.node.instance_names() and target:
+        if self.node.hosts(instance) and target:
             self.migration.migrate(instance, target)
 
     def _cmd_stop(self, args: Dict) -> None:
         instance = args.get("instance")
-        if instance in self.node.instance_names():
+        if self.node.hosts(instance):
             self._mark_inactive(instance)
             self.node.undeploy_instance(instance)
 

@@ -48,6 +48,8 @@ class Cluster:
         self.monitoring_mode = monitoring_mode
         self.monitoring_interval = monitoring_interval
         self._nodes: Dict[str, Node] = {}
+        #: ``_nodes`` values in node-id string order; nodes only ever join.
+        self._ordered: List[Node] = []
 
     # ------------------------------------------------------------------
     @classmethod
@@ -88,6 +90,7 @@ class Cluster:
                 monitoring_interval=self.monitoring_interval,
             )
         self._nodes[node_id] = node
+        self._ordered = [self._nodes[k] for k in sorted(self._nodes)]
         return node
 
     def boot_all(self) -> None:
@@ -104,10 +107,10 @@ class Cluster:
         return self._nodes[node_id]
 
     def nodes(self) -> List[Node]:
-        return [self._nodes[k] for k in sorted(self._nodes)]
+        return list(self._ordered)
 
     def alive_nodes(self) -> List[Node]:
-        return [n for n in self.nodes() if n.alive]
+        return [n for n in self._ordered if n.alive]
 
     def failed_nodes(self) -> List[Node]:
         return [n for n in self.nodes() if n.state == NodeState.FAILED]

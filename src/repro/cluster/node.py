@@ -114,6 +114,10 @@ class Node:
             return []
         return self.instance_manager.names()
 
+    def hosts(self, name: str) -> bool:
+        """True when a virtual instance named ``name`` lives on this node."""
+        return self.instance_manager is not None and name in self.instance_manager
+
     def power_watts(self) -> float:
         """Instantaneous power draw under the node's power model."""
         if self.state in (NodeState.OFF, NodeState.FAILED):

@@ -232,9 +232,13 @@ class DependableEnvironment:
         return sorted(self._customers)
 
     def locate(self, name: str) -> Optional[str]:
-        """Node currently hosting the customer, by direct cluster scan."""
-        for node in self.cluster.alive_nodes():
-            if name in node.instance_names():
+        """Node currently hosting the customer, by direct cluster scan.
+
+        The lowest alive node id wins when a split brain left the name on
+        several nodes.
+        """
+        for node in self.cluster.nodes():
+            if node.hosts(name) and node.alive:
                 return node.node_id
         return None
 

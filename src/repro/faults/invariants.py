@@ -114,11 +114,7 @@ def _check_single_primary(env: Any) -> List[str]:
     """
     problems: List[str] = []
     for name in env.customer_names():
-        hosts = [
-            n.node_id
-            for n in env.cluster.alive_nodes()
-            if name in n.instance_names()
-        ]
+        hosts = [n.node_id for n in env.cluster.alive_nodes() if n.hosts(name)]
         if len(hosts) > 1:
             problems.append("%s runs on %s" % (name, ",".join(hosts)))
     return problems

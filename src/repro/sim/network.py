@@ -11,24 +11,51 @@ paper's middleware (jGCS over a LAN) would use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
 from repro.telemetry import runtime as _rt
 
 
-@dataclass(frozen=True)
 class Message:
-    """An opaque payload in flight between two endpoints."""
+    """An opaque payload in flight between two endpoints.
 
-    source: str
-    destination: str
-    payload: Any
-    sent_at: float
-    size_bytes: int = 256
-    #: Captured telemetry span context; not part of message identity.
-    trace: Any = field(compare=False, repr=False, default=None)
+    A plain slots class rather than a frozen dataclass: one is built per
+    send, and frozen construction costs nearly three times as much. Treat
+    instances as read-only.
+    """
+
+    __slots__ = ("source", "destination", "payload", "sent_at", "size_bytes", "trace")
+
+    def __init__(
+        self,
+        source: str,
+        destination: str,
+        payload: Any,
+        sent_at: float,
+        size_bytes: int = 256,
+        trace: Any = None,
+    ) -> None:
+        self.source = source
+        self.destination = destination
+        self.payload = payload
+        self.sent_at = sent_at
+        self.size_bytes = size_bytes
+        #: Captured telemetry span context; left out of the repr.
+        self.trace = trace
+
+    def __repr__(self) -> str:
+        return (
+            "Message(source=%r, destination=%r, payload=%r, sent_at=%r, size_bytes=%r)"
+            % (
+                self.source,
+                self.destination,
+                self.payload,
+                self.sent_at,
+                self.size_bytes,
+            )
+        )
 
 
 @dataclass
@@ -131,8 +158,10 @@ class Network:
         self.stats = NetworkStats()
         self._endpoints: Dict[str, Endpoint] = {}
         self._links: Dict[Tuple[str, str], _Link] = {}
-        self._partitions: List[FrozenSet[str]] = []
-        self._node_partitions: List[FrozenSet[str]] = []
+        #: Member -> group index of the endpoint- and node-level partition
+        #: layouts; empty while no partition of that kind is active.
+        self._group_of: Dict[str, int] = {}
+        self._node_group_of: Dict[str, int] = {}
         #: node id -> extra one-way latency applied to its traffic.
         self._node_latency: Dict[str, float] = {}
         #: Open delivery tick: link batches sharing one scheduled event.
@@ -181,7 +210,7 @@ class Network:
         Endpoints not named in any group can talk to each other but to no
         partitioned endpoint. Replaces any previous partition layout.
         """
-        self._partitions = [frozenset(g) for g in groups]
+        self._group_of = self._group_map(groups)
 
     def partition_nodes(self, *groups: Set[str]) -> None:
         """Split the network by *node id* rather than endpoint name.
@@ -194,45 +223,45 @@ class Network:
         side. Replaces any previous node-partition layout; coexists with
         endpoint-level :meth:`partition`.
         """
-        self._node_partitions = [frozenset(g) for g in groups]
+        self._node_group_of = self._group_map(groups)
 
     @property
     def partitioned(self) -> bool:
         """True while any partition (endpoint- or node-level) is active."""
-        return bool(self._partitions or self._node_partitions)
+        return bool(self._group_of or self._node_group_of)
 
     def heal(self) -> None:
         """Remove all partitions (endpoint- and node-level)."""
-        self._partitions = []
-        self._node_partitions = []
+        self._group_of = {}
+        self._node_group_of = {}
 
     @staticmethod
     def node_of(endpoint_name: str) -> str:
         """Owning node id of an endpoint: the last path segment."""
         return endpoint_name.rsplit("/", 1)[-1]
 
+    @staticmethod
+    def _group_map(groups: Tuple[Set[str], ...]) -> Dict[str, int]:
+        """Member -> index of its group; a member named in several groups
+        belongs to the last of them."""
+        group_of: Dict[str, int] = {}
+        for i, group in enumerate(groups):
+            for member in group:
+                group_of[member] = i
+        return group_of
+
     def _partitioned(self, a: str, b: str) -> bool:
-        if self._split_by(self._partitions, a, b):
+        # Two endpoints are split when their groups differ; two endpoints
+        # outside every group (both None) are not.
+        group_of = self._group_of
+        if group_of and group_of.get(a) != group_of.get(b):
             return True
-        if self._node_partitions and self._split_by(
-            self._node_partitions, self.node_of(a), self.node_of(b)
+        group_of = self._node_group_of
+        if group_of and group_of.get(self.node_of(a)) != group_of.get(
+            self.node_of(b)
         ):
             return True
         return False
-
-    @staticmethod
-    def _split_by(partitions: List[FrozenSet[str]], a: str, b: str) -> bool:
-        if not partitions:
-            return False
-        group_of: Dict[str, int] = {}
-        for i, group in enumerate(partitions):
-            for member in group:
-                group_of[member] = i
-        ga = group_of.get(a)
-        gb = group_of.get(b)
-        if ga is None and gb is None:
-            return False
-        return ga != gb
 
     # ------------------------------------------------------------------
     # Per-node latency (slow-node fault model)
@@ -253,8 +282,6 @@ class Network:
         self._node_latency.pop(node_id, None)
 
     def _extra_latency(self, source: str, destination: str) -> float:
-        if not self._node_latency:
-            return 0.0
         return self._node_latency.get(
             self.node_of(source), 0.0
         ) + self._node_latency.get(self.node_of(destination), 0.0)
@@ -266,24 +293,32 @@ class Network:
         self, source: str, destination: str, payload: Any, size_bytes: int = 256
     ) -> None:
         """Queue a message for FIFO delivery, applying loss and partitions."""
-        self.stats.sent += 1
-        self.stats.bytes_sent += size_bytes
+        stats = self.stats
+        stats.sent += 1
+        stats.bytes_sent += size_bytes
+        if (self._group_of or self._node_group_of) and self._partitioned(
+            source, destination
+        ):
+            stats.dropped_partition += 1
+            return
+        if self.loss_rate and self._rng.random() < self.loss_rate:
+            stats.dropped_loss += 1
+            return
+        now = self.loop.clock.now
         trace = None
         if _rt.ACTIVE is not None:
             trace = _rt.ACTIVE.tracer.current_context()
-        message = Message(
-            source, destination, payload, self.loop.clock.now, size_bytes, trace
-        )
-        if self._partitioned(source, destination):
-            self.stats.dropped_partition += 1
-            return
-        if self.loss_rate and self._rng.random() < self.loss_rate:
-            self.stats.dropped_loss += 1
-            return
+        message = Message(source, destination, payload, now, size_bytes, trace)
         delay = self.latency + (self._rng.random() * self.jitter if self.jitter else 0.0)
-        delay += self._extra_latency(source, destination)
-        link = self._links.setdefault((source, destination), _Link())
-        deliver_at = max(self.loop.clock.now + delay, link.next_free_at)
+        if self._node_latency:
+            delay += self._extra_latency(source, destination)
+        key = (source, destination)
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = _Link()
+        deliver_at = now + delay
+        if deliver_at < link.next_free_at:
+            deliver_at = link.next_free_at
         link.next_free_at = deliver_at
         if link.batch and link.batch_at == deliver_at:
             # Piggyback on the delivery event already scheduled for this
@@ -341,7 +376,9 @@ class Network:
     def _deliver(self, message: Message) -> None:
         # Re-check the partition at delivery time: a partition raised while
         # the message was in flight also kills it, like a dropped TCP link.
-        if self._partitioned(message.source, message.destination):
+        if (self._group_of or self._node_group_of) and self._partitioned(
+            message.source, message.destination
+        ):
             self.stats.dropped_partition += 1
             return
         endpoint = self._endpoints.get(message.destination)

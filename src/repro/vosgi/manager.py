@@ -135,6 +135,9 @@ class InstanceManager:
             raise BundleException("no virtual instance named %r" % name)
         return instance
 
+    def __contains__(self, name: object) -> bool:
+        return name in self._instances
+
     def names(self) -> List[str]:
         return sorted(self._instances)
 

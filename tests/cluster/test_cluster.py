@@ -31,6 +31,24 @@ def test_alive_nodes_excludes_failed():
     assert [n.node_id for n in cluster.alive_nodes()] == ["n1", "n3"]
 
 
+def test_nodes_keep_string_order_when_added_out_of_order():
+    cluster = Cluster(seed=1)
+    for node_id in ("n2", "n10", "n1"):
+        cluster.add_node(node_id)
+    assert [n.node_id for n in cluster.nodes()] == ["n1", "n10", "n2"]
+    cluster.boot_all()
+    assert [n.node_id for n in cluster.alive_nodes()] == ["n1", "n10", "n2"]
+
+
+def test_mutating_nodes_result_leaves_cluster_unchanged():
+    cluster = Cluster.build(3, seed=1)
+    listed = cluster.nodes()
+    listed.reverse()
+    listed.pop()
+    assert [n.node_id for n in cluster.nodes()] == ["n1", "n2", "n3"]
+    assert [n.node_id for n in cluster.alive_nodes()] == ["n1", "n2", "n3"]
+
+
 def test_per_node_spec_override():
     cluster = Cluster(seed=1)
     big = cluster.add_node("big", spec=NodeSpec(cpu_capacity=4.0))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.node import NodeState
 from repro.core import DependableEnvironment
 from repro.ipvs.addressing import IpEndpoint
 from repro.osgi.definition import simple_bundle
@@ -155,6 +156,31 @@ def test_instance_of_returns_live_instance(env):
     admit(env, "acme")
     instance = env.instance_of("acme")
     assert instance is not None and instance.running
+    assert env.instance_of("ghost") is None
+
+
+def test_locate_skips_hibernated_and_failed_nodes(env):
+    sleeper = env.cluster.node("n1")
+    env.cluster.run_until_settled([sleeper.hibernate()])
+    assert sleeper.state == NodeState.HIBERNATED
+    for node_id in ("n1", "n2"):
+        env.cluster.node(node_id).instance_manager.create_instance("dup")
+    assert sleeper.hosts("dup")
+    assert env.locate("dup") == "n2"
+    env.cluster.node("n2").fail()
+    assert env.locate("dup") is None
+
+
+def test_locate_split_brain_returns_lowest_node_id(env):
+    for node_id in ("n3", "n2"):
+        env.cluster.node(node_id).instance_manager.create_instance("dup")
+    assert env.locate("dup") == "n2"
+    assert env.instance_of("dup") is env.cluster.node("n2").instance_manager.get("dup")
+
+
+def test_locate_unhosted_name_is_none(env):
+    admit(env, "acme")
+    assert env.locate("ghost") is None
     assert env.instance_of("ghost") is None
 
 

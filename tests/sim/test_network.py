@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.eventloop import EventLoop
-from repro.sim.network import Network
+from repro.sim.network import Message, Network
 from repro.sim.rng import RngStreams
 
 
@@ -140,3 +140,88 @@ def test_endpoint_names_sorted(loop, network):
     network.attach("z", lambda m: None)
     network.attach("a", lambda m: None)
     assert network.endpoint_names() == ["a", "z"]
+
+
+def test_node_partition_raised_after_unpartitioned_send_drops_at_delivery(loop):
+    network = Network(loop, RngStreams(0), latency=1.0, jitter=0.0)
+    inbox = []
+    network.attach("gcs/g/n1", lambda m: None)
+    network.attach("gcs/g/n2", inbox.append)
+    network.send("gcs/g/n1", "gcs/g/n2", "in-flight")
+    loop.run_for(0.5)
+    network.partition_nodes({"n1"}, {"n2"})
+    loop.run_for(1.0)
+    assert inbox == []
+    assert network.stats.dropped_partition == 1
+
+
+def test_endpoint_attached_after_node_partition_is_confined(loop, network):
+    network.partition_nodes({"n1"}, {"n2"})
+    inbox_old, inbox_new = [], []
+    network.attach("gcs/g/n1", inbox_old.append)
+    network.attach("svc/n2", inbox_new.append)
+    fresh = network.attach("gcs/g2/n2", inbox_new.append)
+    fresh.send("gcs/g/n1", "across")
+    fresh.send("svc/n2", "same-node")
+    loop.run_for(1.0)
+    assert inbox_old == []
+    assert [m.payload for m in inbox_new] == ["same-node"]
+
+
+def test_heal_clears_both_partition_maps(loop, network):
+    a, b, _, inbox_b = make_pair(network)
+    network.partition({"a"}, {"b"})
+    network.partition_nodes({"a"}, {"b"})
+    assert network.partitioned
+    network.heal()
+    assert not network.partitioned
+    assert network._group_of == {} and network._node_group_of == {}
+    a.send("b", "ok")
+    loop.run_for(1.0)
+    assert len(inbox_b) == 1
+
+
+@pytest.mark.parametrize("node_level", [False, True])
+def test_member_named_in_two_groups_belongs_to_the_last(loop, network, node_level):
+    inboxes = {name: [] for name in ("a", "b", "c")}
+    for name, inbox in inboxes.items():
+        network.attach(name, inbox.append)
+    split = network.partition_nodes if node_level else network.partition
+    split({"a", "b"}, {"b", "c"})
+    network.send("a", "b", "a->b")
+    network.send("c", "b", "c->b")
+    network.send("b", "a", "b->a")
+    loop.run_for(1.0)
+    assert [m.payload for m in inboxes["b"]] == ["c->b"]
+    assert inboxes["a"] == []
+    assert network.stats.dropped_partition == 2
+
+
+def test_node_latency_changes_apply_between_sends_on_one_link(loop):
+    network = Network(loop, RngStreams(0), latency=0.1, jitter=0.0)
+    arrivals = []
+    network.attach("svc/n1", lambda m: None)
+    network.attach("svc/n2", lambda m: arrivals.append((m.payload, loop.clock.now)))
+    network.send("svc/n1", "svc/n2", "plain")
+    network.set_node_latency("n2", 0.5)
+    network.send("svc/n1", "svc/n2", "slow")
+    loop.run_for(1.0)
+    network.clear_node_latency("n2")
+    network.send("svc/n1", "svc/n2", "cleared")
+    loop.run_for(1.0)
+    assert [p for p, _ in arrivals] == ["plain", "slow", "cleared"]
+    assert [t for _, t in arrivals] == pytest.approx([0.1, 0.6, 1.1])
+
+
+def test_message_fields_defaults_and_repr():
+    message = Message("a", "b", {"k": 1}, 2.5)
+    assert (message.source, message.destination) == ("a", "b")
+    assert message.payload == {"k": 1}
+    assert message.sent_at == 2.5
+    assert message.size_bytes == 256
+    assert message.trace is None
+    traced = Message("a", "b", "p", 0.0, 64, "span-context")
+    assert (traced.size_bytes, traced.trace) == (64, "span-context")
+    assert repr(traced) == (
+        "Message(source='a', destination='b', payload='p', sent_at=0.0, size_bytes=64)"
+    )
