@@ -14,7 +14,6 @@ requests are lost during the failover window, then the standby answers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.node import Node, NodeState
@@ -26,21 +25,48 @@ from repro.telemetry import runtime as _rt
 from repro.telemetry.tracer import Span
 
 
-@dataclass
 class Request:
-    """One client request to a virtual endpoint."""
+    """One client request to a virtual endpoint.
 
-    request_id: int
-    endpoint: IpEndpoint
-    arrived_at: float
-    #: Client identity (source address analogue), used by persistent
-    #: (sticky) services to pin a client to one real server.
-    client: Optional[str] = None
-    completed_at: Optional[float] = None
-    served_by: Optional[str] = None
-    dropped: Optional[str] = None
-    #: Open telemetry span for the request, if tracing is active.
-    span: Optional[Span] = field(default=None, repr=False, compare=False)
+    A plain ``__slots__`` class, not a dataclass: one is built per
+    submitted request, and runs that keep their requests hold tens of
+    thousands of them. It compares by identity and has the default
+    ``object`` repr.
+    """
+
+    __slots__ = (
+        "request_id",
+        "endpoint",
+        "arrived_at",
+        "client",
+        "completed_at",
+        "served_by",
+        "dropped",
+        "span",
+    )
+
+    def __init__(
+        self,
+        request_id: int,
+        endpoint: IpEndpoint,
+        arrived_at: float,
+        client: Optional[str] = None,
+        completed_at: Optional[float] = None,
+        served_by: Optional[str] = None,
+        dropped: Optional[str] = None,
+        span: Optional[Span] = None,
+    ) -> None:
+        self.request_id = request_id
+        self.endpoint = endpoint
+        self.arrived_at = arrived_at
+        #: Client identity (source address analogue), used by persistent
+        #: (sticky) services to pin a client to one real server.
+        self.client = client
+        self.completed_at = completed_at
+        self.served_by = served_by
+        self.dropped = dropped
+        #: Open telemetry span for the request, if tracing is active.
+        self.span = span
 
     @property
     def ok(self) -> bool:
@@ -111,14 +137,19 @@ class RealServer:
         self.active_connections = 0
         self.served = 0
         self._busy_until = 0.0
+        #: The loop's clock, bound at the first admit.
         self._clock = None
+        #: Drop counter of the director this server was added to (see
+        #: :meth:`VirtualServer.add_real_server`): a request lost because
+        #: the server died under it is counted there as ``server-died``.
+        self.director_drops: Optional[Counter] = None
         #: Callback ``(request) -> None`` at completion — the hook that
         #: charges the serving customer's resource ledger.
         self.on_served = on_served
         #: Observers of :attr:`active_connections` changes, called as
         #: ``watcher(server, delta)`` with ``delta`` in {+1, -1} *after*
-        #: the counter moved. Keeps the bucketed scheduler's index and
-        #: the director's per-node counters exact without scans.
+        #: the counter moved. Keeps the bucketed scheduler's
+        #: connection-count buckets exact without scans.
         self._watchers: List = []
 
     @property
@@ -142,8 +173,10 @@ class RealServer:
         if self._watchers:
             for watcher in self._watchers:
                 watcher(self, 1)
-        self._clock = loop.clock
-        start = loop.clock.now
+        clock = self._clock
+        if clock is None:
+            clock = self._clock = loop.clock
+        start = clock.now
         if self._busy_until > start:
             start = self._busy_until
         finish_at = start + self.service_time
@@ -164,8 +197,7 @@ class RealServer:
                 for watcher in self._watchers:
                     watcher(self, -1)
             if not self.alive:
-                request.dropped = "server-died"
-                _record_drop(request, self.node_id)
+                self._lose(request)
                 _finish_request_telemetry(request, serve_span, loop.clock.now)
                 return
             self.served += 1
@@ -189,8 +221,7 @@ class RealServer:
                 watcher(self, -1)
         now = self._clock.now
         if not self.alive:
-            request.dropped = "server-died"
-            _record_drop(request, self.node_id)
+            self._lose(request)
             if request.span is not None or _rt.ACTIVE is not None:
                 _finish_request_telemetry(request, None, now)
             return
@@ -206,6 +237,13 @@ class RealServer:
                 self.on_served(request)
             except Exception:
                 pass
+
+    def _lose(self, request: Request) -> None:
+        """Account a request this server died under before finishing it."""
+        request.dropped = "server-died"
+        if self.director_drops is not None:
+            self.director_drops["server-died"] += 1
+        _record_drop(request, self.node_id)
 
     def __repr__(self) -> str:
         return "RealServer(%s:%d, w=%d, active=%d, served=%d, %s)" % (
@@ -260,6 +298,7 @@ class VirtualServer:
             raise ValueError("no service at %s" % endpoint)
         scheduler, servers = self._services[key]
         servers.append(server)
+        server.director_drops = self.drops
         self._node_index.setdefault(server.node_id, []).append(server)
         scheduler.topology_changed()
 
@@ -354,14 +393,18 @@ class VirtualServer:
             self.drops[request.dropped] += 1
             return
         scheduler, servers = entry
-        server = self._sticky_server(key, request, servers)
+        # Affinity bookkeeping only for services with a persistence
+        # window; a stateless service goes straight to its scheduler.
+        sticky = key in self._persistence
+        server = self._sticky_server(key, request, servers) if sticky else None
         if server is None:
             server = scheduler.pick(servers)
         if server is None:
             request.dropped = "no-real-server"
             self.drops[request.dropped] += 1
             return
-        self._remember_affinity(key, request, server)
+        if sticky:
+            self._remember_affinity(key, request, server)
         self.routed += 1
         server.admit(request, self._loop)
 
@@ -443,9 +486,10 @@ class DirectorCluster:
         self._next_request_id = 1
         #: node_id -> pre-drain weight (see :meth:`drain_node`).
         self._drained_weights: Dict[str, int] = {}
-        #: node_id -> live in-flight count across every replica, kept by
-        #: per-server watchers so drain polling never scans the tables.
-        self._node_active: Dict[str, int] = {}
+        #: node_id -> every real server created for it, on every replica,
+        #: including ones removed since (their in-flight requests still
+        #: finish on that node).
+        self._node_servers: Dict[str, List[RealServer]] = {}
 
     # -- configuration fan-out ---------------------------------------------
     def add_service(
@@ -479,7 +523,7 @@ class DirectorCluster:
                 queue_limit=queue_limit,
                 on_served=on_served,
             )
-            server.add_active_watcher(self._on_server_active)
+            self._node_servers.setdefault(node_id, []).append(server)
             director.add_real_server(endpoint, server)
 
     def remove_real_server(self, endpoint: IpEndpoint, node_id: str) -> None:
@@ -520,13 +564,17 @@ class DirectorCluster:
     def is_draining(self, node_id: str) -> bool:
         return node_id in self._drained_weights
 
-    def _on_server_active(self, server: RealServer, delta: int) -> None:
-        counters = self._node_active
-        counters[server.node_id] = counters.get(server.node_id, 0) + delta
-
     def node_active_connections(self, node_id: str) -> int:
-        """In-flight requests to ``node_id``, across every replica (O(1))."""
-        return self._node_active.get(node_id, 0)
+        """In-flight requests to ``node_id``, across every replica.
+
+        Sums over every real server this cluster created for the node,
+        removed ones included, so a request admitted before its server
+        was removed counts until it completes.
+        """
+        active = 0
+        for server in self._node_servers.get(node_id, ()):
+            active += server.active_connections
+        return active
 
     def set_node_service_time(self, node_id: str, service_time: float) -> None:
         """Re-profile ``node_id``'s real servers (new release behaviour)."""

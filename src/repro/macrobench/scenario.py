@@ -225,9 +225,8 @@ class MacroScenario:
 
     # -- per-request hooks -------------------------------------------------
     def _on_served(self, request: Request) -> None:
-        latency = request.latency
-        if latency is not None:
-            self._latencies.append(latency)
+        # Called only at completion, so completed_at is always set.
+        self._latencies.append(request.completed_at - request.arrived_at)
 
     def _on_arrival(self, _index: int) -> None:
         client = self._client_rng.randrange(self.config.clients)
@@ -286,8 +285,6 @@ class MacroScenario:
             for director in shard.directors:
                 for reason, count in sorted(director.drops.items()):
                     reasons[reason] = reasons.get(reason, 0) + count
-        # Server-died / queue-full losses surface as no-real-server above;
-        # anything unaccounted for is in-flight loss at drain time.
         result.drop_reasons = reasons
         if self._latencies:
             ordered = sorted(self._latencies)

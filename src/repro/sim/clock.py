@@ -16,19 +16,21 @@ class Clock:
 
     The clock starts at ``0.0``. Only the owning event loop should call
     :meth:`advance_to`; everything else treats the clock as read-only.
+
+    :attr:`now` is a plain slot rather than a read-only property: it is
+    read millions of times per run, and a property costs a Python call
+    on every read. Only :meth:`advance_to` writes it — a tier-1 test
+    (``tests/sim/test_clock.py``) fails if any other module
+    under ``src/`` assigns to ``.now``.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0.0:
             raise ValueError("clock cannot start before t=0: %r" % start)
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds since the simulation epoch."""
-        return self._now
+        #: Current virtual time in seconds since the simulation epoch.
+        self.now = float(start)
 
     def advance_to(self, when: float) -> None:
         """Move the clock forward to ``when``.
@@ -36,11 +38,11 @@ class Clock:
         Raises :class:`ValueError` on an attempt to move backwards, which
         would indicate a scheduling bug rather than a recoverable state.
         """
-        if when < self._now:
+        if when < self.now:
             raise ValueError(
-                "clock moved backwards: now=%r requested=%r" % (self._now, when)
+                "clock moved backwards: now=%r requested=%r" % (self.now, when)
             )
-        self._now = float(when)
+        self.now = float(when)
 
     def __repr__(self) -> str:
-        return "Clock(now=%.6f)" % self._now
+        return "Clock(now=%.6f)" % self.now

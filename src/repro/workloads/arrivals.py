@@ -120,13 +120,22 @@ class OpenLoopArrivals:
         self._loop.call_transient_at(next_at, self._candidate)
 
     def _candidate(self) -> None:
-        now = self._loop.clock.now
+        # The per-candidate hot path: the accept draw, then the next gap
+        # drawn and the next candidate scheduled in this body, not through
+        # a call to _schedule_next (same draws, same order, same events).
+        loop = self._loop
+        now = loop.clock.now
         self.candidates += 1
-        rate = self._profile.rate(now - self._started_at)
-        if self._rng.random() * self._profile.peak_rps < rate:
+        rng = self._rng
+        peak = self._profile.peak_rps
+        if rng.random() * peak < self._profile.rate(now - self._started_at):
             self.arrivals += 1
             self._on_arrival(self.arrivals)
-        self._schedule_next(now)
+        next_at = now + rng.expovariate(peak)
+        if next_at > self._deadline:
+            self.finished = True
+            return
+        loop.call_transient_at(next_at, self._candidate)
 
     def __repr__(self) -> str:
         return "OpenLoopArrivals(%d arrivals / %d candidates, %s)" % (

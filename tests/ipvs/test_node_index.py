@@ -93,6 +93,32 @@ def test_cluster_counter_tracks_all_replicas():
     assert cluster.node_active_connections("n2") == 0
 
 
+def test_cluster_counter_keeps_request_on_removed_server():
+    loop = EventLoop()
+    cluster = DirectorCluster(loop, replicas=2)
+    cluster.add_service(VIP_A)
+    cluster.add_real_server(VIP_A, "n1", service_time=1.0)
+    request = cluster.submit(VIP_A)
+    assert cluster.node_active_connections("n1") == 1
+    cluster.remove_real_server(VIP_A, "n1")
+    # The removed server is gone from every table but still finishes the
+    # request it admitted, on n1, so n1 is not yet idle.
+    assert all(d.node_active_connections("n1") == 0 for d in cluster.directors)
+    assert cluster.node_active_connections("n1") == 1
+    loop.run_for(0.5)
+    assert cluster.node_active_connections("n1") == 1
+    # A fresh server for the node adds its own in-flight work on top.
+    cluster.add_real_server(VIP_A, "n1", service_time=1.0)
+    cluster.submit(VIP_A)
+    assert cluster.node_active_connections("n1") == 2
+    loop.run_for(0.7)
+    assert request.ok
+    assert request.served_by == "n1"
+    assert cluster.node_active_connections("n1") == 1
+    loop.run_for(1.0)
+    assert cluster.node_active_connections("n1") == 0
+
+
 def test_drain_wait_undrain_cycle():
     loop = EventLoop()
     cluster = DirectorCluster(loop, replicas=2)

@@ -102,6 +102,7 @@ class TestVirtualServer:
         loop.run_for(1.0)
         assert not request.ok
         assert request.dropped == "server-died"
+        assert director.drops == {"server-died": 1}
 
     def test_custom_scheduler(self, loop):
         director = VirtualServer("d", loop)
@@ -183,6 +184,23 @@ class TestDirectorCluster:
         assert stats["dropped"] == 0
         assert stats["mean_latency"] > 0
 
+    def test_server_death_counted_by_the_owning_replica(self, loop):
+        # Aggregate mode reports drops from the replicas' counters only, so
+        # a request lost on a dead real server must be counted there.
+        cluster = DirectorCluster(loop, replicas=2, retain_requests=False)
+        cluster.add_service(VIP)
+        cluster.add_real_server(VIP, "n1", service_time=0.5)
+        cluster.submit(VIP)
+        loop.run_for(0.1)
+        cluster.mark_node("n1", False)
+        loop.run_for(1.0)
+        primary, standby = cluster.directors
+        assert primary.drops == {"server-died": 1}
+        assert standby.drops == {}
+        stats = cluster.stats()
+        assert stats["dropped"] == 1
+        assert stats["submitted"] == stats["completed"] + stats["dropped"]
+
     def test_at_least_one_replica_required(self, loop):
         with pytest.raises(ValueError):
             DirectorCluster(loop, replicas=0)
@@ -199,3 +217,50 @@ class TestDirectorCluster:
         node.fail()
         request = directors.submit(VIP)
         assert request.dropped == "no-real-server"
+
+
+class TestRequest:
+    def test_positional_construction_and_defaults(self):
+        request = Request(7, VIP, 1.5)
+        assert request.request_id == 7
+        assert request.endpoint == VIP
+        assert request.arrived_at == 1.5
+        assert request.client is None
+        assert request.completed_at is None
+        assert request.served_by is None
+        assert request.dropped is None
+        assert request.span is None
+
+    def test_every_field_positional(self):
+        request = Request(1, VIP, 1.0, "c1", 1.25, "n1", "reason", "span")
+        assert (request.client, request.completed_at) == ("c1", 1.25)
+        assert (request.served_by, request.dropped) == ("n1", "reason")
+        assert request.span == "span"
+
+    def test_keywords_match_the_positional_order(self):
+        request = Request(
+            request_id=2, endpoint=VIP, arrived_at=0.5, client="c2", served_by="n2"
+        )
+        assert (request.request_id, request.client, request.served_by) == (
+            2,
+            "c2",
+            "n2",
+        )
+
+    def test_ok_and_latency(self):
+        request = Request(1, VIP, 2.0)
+        assert not request.ok
+        assert request.latency is None
+        request.completed_at = 2.5
+        assert request.ok
+        assert request.latency == pytest.approx(0.5)
+
+    def test_dropped_request_is_not_ok(self):
+        request = Request(1, VIP, 0.0, dropped="no-real-server")
+        assert not request.ok
+        assert request.latency is None
+
+    def test_no_per_instance_dict(self):
+        request = Request(1, VIP, 0.0)
+        with pytest.raises(AttributeError):
+            request.unknown_field = 1

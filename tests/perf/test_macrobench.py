@@ -21,6 +21,34 @@ def test_two_runs_byte_identical():
     assert first == second
 
 
+#: Report digest of ``MacroConfig.smoke(day_seconds=10.0)``: 10,001
+#: requests, all completed, over 25,973 events. A hot-path optimisation
+#: must leave it byte-identical; a change that alters routing, arrival
+#: draws or event order moves it.
+PINNED_SMOKE_DIGEST = (
+    "8705c1369e10f8c99c96b288251a20e40c17fc22e8827c03583f20ff127acc6f"
+)
+
+
+def test_smoke_digest_is_pinned(smoke_result):
+    report = smoke_result.report()
+    assert report["requests"]["submitted"] == 10001
+    assert report["sim"]["events_fired"] == 25973
+    assert report["digest"] == PINNED_SMOKE_DIGEST
+
+
+def test_node_death_mid_day_is_in_the_drop_accounting():
+    scenario = MacroScenario(MacroConfig.smoke(day_seconds=10.0))
+    shard0 = scenario._shards[0]
+    scenario.loop.call_at(5.0, lambda: shard0.mark_node("n001", False))
+    result = scenario.run()
+    assert result.dropped > 0
+    assert result.submitted == result.completed + result.dropped
+    assert sum(result.drop_reasons.values()) == result.dropped
+    assert result.drop_reasons == {"server-died": result.dropped}
+    assert shard0.stats()["dropped"] == result.dropped
+
+
 def test_seed_changes_the_run():
     a = MacroScenario(MacroConfig.smoke(day_seconds=10.0)).run()
     b = MacroScenario(MacroConfig.smoke(day_seconds=10.0, seed=9)).run()

@@ -1,5 +1,7 @@
 """O(1) pending accounting, heap compaction, and same-instant batching."""
 
+import pytest
+
 from repro.sim.eventloop import EventLoop
 
 
@@ -112,3 +114,65 @@ def test_mid_batch_compaction_keeps_draining_current_instant():
     loop.run_until(10.0)
     assert order == ["purge", "after-purge", "next-instant"]
     assert loop.pending == 0
+
+
+class Boom(Exception):
+    pass
+
+
+def _raise():
+    raise Boom()
+
+
+def test_raising_heap_action_leaves_batch_resumable():
+    loop = EventLoop()
+    order = []
+    seen = {}
+
+    def first():
+        order.append("first")
+        # Joins the back of this instant's batch via the ready deque.
+        loop.call_soon(lambda: order.append("soon"))
+
+    def boom():
+        # Counters are already exact while the action runs.
+        seen["fired"], seen["pending"] = loop.fired, loop.pending
+        _raise()
+
+    loop.call_at(1.0, first)
+    loop.call_at(1.0, boom)
+    loop.call_transient_at(1.0, order.append, "transient")
+    loop.call_at(1.0, lambda: order.append("last-heap"))
+    loop.call_at(1.5, lambda: order.append("later"))
+    with pytest.raises(Boom):
+        loop.run_until(2.0)
+    assert seen == {"fired": 2, "pending": 4}
+    assert order == ["first"]
+    assert loop.fired == 2
+    assert loop.pending == 4
+    assert loop.clock.now == 1.0
+    assert loop.run_until(2.0) == 4
+    # The rest of the instant in seq order (heap before the ready deque),
+    # then the next instant.
+    assert order == ["first", "transient", "last-heap", "soon", "later"]
+    assert loop.fired == 6
+    assert loop.pending == 0
+    assert loop.clock.now == 2.0
+
+
+def test_raising_ready_action_leaves_batch_resumable():
+    loop = EventLoop()
+    order = []
+    loop.run_until(1.0)
+    loop.call_soon(lambda: order.append("a"))
+    loop.call_soon(_raise)
+    victim = loop.call_soon(lambda: order.append("cancelled"))
+    loop.call_soon(lambda: order.append("b"))
+    loop.call_transient_at(1.0, order.append, "c")
+    victim.cancel()
+    with pytest.raises(Boom):
+        loop.run_until(1.0)
+    assert (loop.fired, loop.pending) == (2, 2)
+    assert loop.run_until(1.0) == 2
+    assert order == ["a", "b", "c"]
+    assert (loop.fired, loop.pending) == (4, 0)
