@@ -92,7 +92,10 @@ class GroupMember:
         #: that has joined before is dead for good (see Protocol._member).
         self.ever_joined = False
         self._beat_count = 0
-        self._timers: List[ScheduledEvent] = []
+        # The live heartbeat and join-retry timers; each re-arms itself,
+        # so one handle per chain is all there is to cancel.
+        self._hb_timer: Optional[ScheduledEvent] = None
+        self._join_timer: Optional[ScheduledEvent] = None
         self._last_heard: Dict[str, float] = {}
         self._suspected: Set[str] = set()
 
@@ -249,12 +252,12 @@ class GroupMember:
             self._beat_count += 1
             if self._beat_count % 10 == 0 and self.is_coordinator:
                 self._probe_strangers()
-            self._timers.append(
-                self._loop.call_after(self.hb_interval, beat, label="gcs-hb")
+            self._hb_timer = self._loop.call_after(
+                self.hb_interval, beat, label="gcs-hb"
             )
 
-        self._timers.append(
-            self._loop.call_after(self.hb_interval, beat, label="gcs-hb")
+        self._hb_timer = self._loop.call_after(
+            self.hb_interval, beat, label="gcs-hb"
         )
 
     def _probe_strangers(self) -> None:
@@ -311,20 +314,22 @@ class GroupMember:
             ]
             if peers:
                 self._send_join(peers)
-                self._timers.append(
-                    self._loop.call_after(self.join_retry, retry, label="gcs-join")
+                self._join_timer = self._loop.call_after(
+                    self.join_retry, retry, label="gcs-join"
                 )
             else:
                 self._install(View(1, (self.endpoint_name,)), order_seq=1)
 
-        self._timers.append(
-            self._loop.call_after(self.join_retry, retry, label="gcs-join")
+        self._join_timer = self._loop.call_after(
+            self.join_retry, retry, label="gcs-join"
         )
 
     def _cancel_timers(self) -> None:
-        for timer in self._timers:
-            timer.cancel()
-        self._timers = []
+        for timer in (self._hb_timer, self._join_timer):
+            if timer is not None:
+                timer.cancel()
+        self._hb_timer = None
+        self._join_timer = None
 
     def _final_close(self) -> None:
         if not self.running:

@@ -483,6 +483,10 @@ class DirectorCluster:
         self.retain_requests = retain_requests
         self.requests: List[Request] = []
         self.submitted = 0
+        #: Refusals the cluster makes itself, before any director routes
+        #: (``"no-director"``); routing drops live in each director's
+        #: ``drops``.
+        self.drops: Counter = Counter()
         self._next_request_id = 1
         #: node_id -> pre-drain weight (see :meth:`drain_node`).
         self._drained_weights: Dict[str, int] = {}
@@ -639,6 +643,7 @@ class DirectorCluster:
         director = self.active_director()
         if director is None:
             request.dropped = "no-director"
+            self.drops["no-director"] += 1
             self._finish_dropped(request)
             return request
         if telemetry is not None and request.span is not None:
@@ -677,7 +682,8 @@ class DirectorCluster:
                 "submitted": float(self.submitted),
                 "completed": served,
                 "dropped": float(
-                    sum(sum(d.drops.values()) for d in self.directors)
+                    sum(self.drops.values())
+                    + sum(sum(d.drops.values()) for d in self.directors)
                 ),
                 "mean_latency": 0.0,
                 "max_latency": 0.0,

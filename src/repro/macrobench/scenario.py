@@ -267,7 +267,7 @@ class MacroScenario:
         arrivals.start()
         self.loop.run_for(config.duration)
         # Let queued work finish: every remaining event is a pending
-        # service completion (or the last rejected arrival candidates).
+        # service completion.
         self.loop.drain(max_events=50_000_000)
 
         result = MacroResult(config=config)
@@ -282,8 +282,8 @@ class MacroScenario:
         ]
         reasons: Dict[str, int] = {}
         for shard in self._shards:
-            for director in shard.directors:
-                for reason, count in sorted(director.drops.items()):
+            for drops in [shard.drops] + [d.drops for d in shard.directors]:
+                for reason, count in sorted(drops.items()):
                     reasons[reason] = reasons.get(reason, 0) + count
         result.drop_reasons = reasons
         if self._latencies:

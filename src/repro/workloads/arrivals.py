@@ -9,8 +9,13 @@ shows up as queueing and drops rather than as a silently slowed driver.
 Arrivals are a non-homogeneous Poisson process sampled by *thinning*:
 candidate arrivals are drawn from a homogeneous process at the peak
 rate, and each candidate is accepted with probability ``rate(t)/peak``.
-All randomness comes from an injected :mod:`repro.sim.rng` stream, so
-two same-seed runs produce byte-identical arrival timelines.
+The thinning is event-free: the generator draws candidates in a loop and
+puts only the next *accepted* arrival on the event loop, so a rejected
+candidate costs two draws and no event. The draws run ahead of the
+clock by up to one accepted gap, which is why the rng stream must be
+private to the generator. All randomness comes from an injected
+:mod:`repro.sim.rng` stream, so two same-seed runs produce
+byte-identical arrival timelines.
 """
 
 from __future__ import annotations
@@ -71,7 +76,10 @@ class OpenLoopArrivals:
         The simulation event loop.
     rng:
         A seeded ``random.Random`` stream (e.g.
-        ``RngStreams(seed).stream("arrivals")``).
+        ``RngStreams(seed).stream("arrivals")``). It must be private
+        to this generator: candidates are drawn ahead of the clock, by
+        up to one accepted gap, so a second consumer of the stream
+        would get draws that depend on how far thinning has run ahead.
     profile:
         The :class:`DiurnalProfile` rate curve.
     on_arrival:
@@ -80,6 +88,11 @@ class OpenLoopArrivals:
     duration:
         Scenario length in simulated seconds; no arrivals occur after
         ``start_time + duration``.
+
+    ``candidates`` counts thinning candidates drawn so far and
+    ``arrivals`` the accepted ones fired; ``finished`` turns true once a
+    candidate lands past the deadline, at which point no arrival is
+    pending. The loop fires exactly one event per accepted arrival.
     """
 
     def __init__(
@@ -109,33 +122,38 @@ class OpenLoopArrivals:
             raise RuntimeError("arrival process already started")
         self._started_at = self._loop.clock.now
         self._deadline = self._started_at + self.duration
-        self._schedule_next(self._loop.clock.now)
+        self._schedule_next(self._started_at)
 
-    def _schedule_next(self, from_when: float) -> None:
-        gap = self._rng.expovariate(self._profile.peak_rps)
-        next_at = from_when + gap
-        if next_at > self._deadline:
-            self.finished = True
-            return
-        self._loop.call_transient_at(next_at, self._candidate)
+    def _schedule_next(self, t: float) -> None:
+        """Thin forward from time ``t``; schedule the next accepted arrival.
 
-    def _candidate(self) -> None:
-        # The per-candidate hot path: the accept draw, then the next gap
-        # drawn and the next candidate scheduled in this body, not through
-        # a call to _schedule_next (same draws, same order, same events).
-        loop = self._loop
-        now = loop.clock.now
-        self.candidates += 1
+        Per candidate: the gap draw, then the accept draw against the rate
+        at the candidate's own time. Rejected candidates never reach the
+        event loop. Drawing past the deadline ends the process.
+        """
         rng = self._rng
         peak = self._profile.peak_rps
-        if rng.random() * peak < self._profile.rate(now - self._started_at):
-            self.arrivals += 1
-            self._on_arrival(self.arrivals)
-        next_at = now + rng.expovariate(peak)
-        if next_at > self._deadline:
-            self.finished = True
-            return
-        loop.call_transient_at(next_at, self._candidate)
+        rate = self._profile.rate
+        started_at = self._started_at
+        deadline = self._deadline
+        candidates = self.candidates
+        while True:
+            t += rng.expovariate(peak)
+            if t > deadline:
+                self.finished = True
+                break
+            candidates += 1
+            if rng.random() * peak < rate(t - started_at):
+                self._loop.call_transient_at(t, self._candidate)
+                break
+        self.candidates = candidates
+
+    def _candidate(self) -> None:
+        # Fires once per accepted arrival; the clock holds the arrival's
+        # candidate time exactly, so thinning resumes from it.
+        self.arrivals += 1
+        self._on_arrival(self.arrivals)
+        self._schedule_next(self._loop.clock.now)
 
     def __repr__(self) -> str:
         return "OpenLoopArrivals(%d arrivals / %d candidates, %s)" % (

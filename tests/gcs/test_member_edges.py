@@ -133,6 +133,43 @@ class TestLeaveDuringViewBroadcast:
         assert joiner.view == members[0].view
 
 
+class TestTimerHandles:
+    @staticmethod
+    def held(member):
+        return [
+            t for t in (member._hb_timer, member._join_timer) if t is not None
+        ]
+
+    def test_handles_stay_bounded_over_a_minute(self, loop, network, directory):
+        members = form_group(loop, network, directory, ["n1", "n2", "n3"])
+        network.partition({"gcs/g/n1", "gcs/g/n2", "gcs/g/n3"}, {"gcs/g/n4"})
+        joiner = make_member("n4", loop, network, directory)
+        joiner.join()
+        members.append(joiner)
+        for second in range(60):
+            if second == 10:
+                network.heal()
+            loop.run_for(1.0)
+            # One heartbeat chain and at most one join-retry chain, each
+            # holding only its latest handle.
+            for member in members:
+                assert 1 <= len(self.held(member)) <= 2
+                assert not member._hb_timer.cancelled
+        assert all(m.view.size == 4 for m in members)
+
+    def test_crash_and_leave_cancel_the_live_timers(
+        self, loop, network, directory
+    ):
+        members = form_group(loop, network, directory, ["n1", "n2", "n3"])
+        live = [self.held(m) for m in members[:2]]
+        members[0].crash()
+        members[1].leave()
+        for handles in live:
+            assert all(t.cancelled for t in handles)
+        assert self.held(members[0]) == []
+        assert self.held(members[1]) == []
+
+
 class TestChannelEdges:
     def make_channel(self, loop, network, name, inbox):
         endpoint = network.attach(name, lambda m: channel.handle_raw(m))

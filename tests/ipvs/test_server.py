@@ -185,8 +185,8 @@ class TestDirectorCluster:
         assert stats["mean_latency"] > 0
 
     def test_server_death_counted_by_the_owning_replica(self, loop):
-        # Aggregate mode reports drops from the replicas' counters only, so
-        # a request lost on a dead real server must be counted there.
+        # Aggregate mode reports drops from counters, not requests, so a
+        # request lost on a dead real server must be counted by a replica.
         cluster = DirectorCluster(loop, replicas=2, retain_requests=False)
         cluster.add_service(VIP)
         cluster.add_real_server(VIP, "n1", service_time=0.5)
@@ -197,6 +197,20 @@ class TestDirectorCluster:
         primary, standby = cluster.directors
         assert primary.drops == {"server-died": 1}
         assert standby.drops == {}
+        stats = cluster.stats()
+        assert stats["dropped"] == 1
+        assert stats["submitted"] == stats["completed"] + stats["dropped"]
+
+    def test_no_director_refusal_counted_once_by_the_cluster(self, loop):
+        cluster = DirectorCluster(loop, replicas=2, retain_requests=False)
+        cluster.add_service(VIP)
+        cluster.add_real_server(VIP, "n1")
+        assert cluster.drops == {}
+        cluster.fail_primary()
+        assert cluster.submit(VIP).dropped == "no-director"
+        loop.run_for(1.0)
+        assert cluster.drops == {"no-director": 1}
+        assert all(director.drops == {} for director in cluster.directors)
         stats = cluster.stats()
         assert stats["dropped"] == 1
         assert stats["submitted"] == stats["completed"] + stats["dropped"]

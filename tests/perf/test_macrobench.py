@@ -22,18 +22,24 @@ def test_two_runs_byte_identical():
 
 
 #: Report digest of ``MacroConfig.smoke(day_seconds=10.0)``: 10,001
-#: requests, all completed, over 25,973 events. A hot-path optimisation
+#: requests, all completed, over 20,002 events. A hot-path optimisation
 #: must leave it byte-identical; a change that alters routing, arrival
 #: draws or event order moves it.
+#:
+#: Re-pinned when arrival thinning became event-free: rejected candidates
+#: no longer pass through the event loop, so ``events_fired`` fell from
+#: 25,973 by the 5,971 rejected candidates, and the digest moved with it
+#: (from ``8705c136...``). Every request, per-shard count, drop reason
+#: and latency in the report stayed byte-identical.
 PINNED_SMOKE_DIGEST = (
-    "8705c1369e10f8c99c96b288251a20e40c17fc22e8827c03583f20ff127acc6f"
+    "dddbc469741d9a14d4801b1074df27f6bfbdc8bc0cdfd42a6a370eda181bec37"
 )
 
 
 def test_smoke_digest_is_pinned(smoke_result):
     report = smoke_result.report()
     assert report["requests"]["submitted"] == 10001
-    assert report["sim"]["events_fired"] == 25973
+    assert report["sim"]["events_fired"] == 20002
     assert report["digest"] == PINNED_SMOKE_DIGEST
 
 
@@ -47,6 +53,26 @@ def test_node_death_mid_day_is_in_the_drop_accounting():
     assert sum(result.drop_reasons.values()) == result.dropped
     assert result.drop_reasons == {"server-died": result.dropped}
     assert shard0.stats()["dropped"] == result.dropped
+
+
+def test_no_director_refusals_are_in_the_drop_accounting():
+    scenario = MacroScenario(MacroConfig.smoke(day_seconds=10.0))
+    shard0 = scenario._shards[0]
+
+    def kill_directors():
+        for director in shard0.directors:
+            director.alive = False
+
+    scenario.loop.call_at(5.0, kill_directors)
+    result = scenario.run()
+    assert result.dropped > 0
+    assert result.submitted == result.completed + result.dropped
+    assert result.drop_reasons == {"no-director": result.dropped}
+    stats = shard0.stats()
+    assert stats["dropped"] == result.dropped
+    assert stats["submitted"] == stats["completed"] + stats["dropped"]
+    # The other shards refused nothing, and carry no zero-count key.
+    assert all(not shard.drops for shard in scenario._shards[1:])
 
 
 def test_seed_changes_the_run():
